@@ -33,6 +33,8 @@ import numpy as np
 from repro.distributed.backends import (
     ArrayContext,
     BatchedArrayContext,
+    choose_targets,
+    csr_slots,
     replay_acceptor_choices,
     run_program,
     run_program_batched,
@@ -378,34 +380,39 @@ def _israeli_itai_faulty(
 def israeli_itai_array(ctx: ArrayContext) -> list[int]:
     """Array program twin of :func:`israeli_itai_program`.
 
-    SoA state: an ``int64`` ``mate`` column and an ``alive`` mask of
-    not-yet-returned nodes.  A live node's *active* set in the
-    generator form is its never-matched neighbors (every matched node
-    announces ``_MATCHED`` in its matching phase, and a node that quits
-    unmatched provably has no unmatched neighbors left), so the
-    residual graph is implied by ``mate == -1``.
+    SoA state: an ``int64`` ``mate`` column, an ``alive`` mask of
+    not-yet-returned nodes, and each node's residual degree (its
+    unmatched neighbors).  A live node's *active* set in the generator
+    form is its never-matched neighbors (every matched node announces
+    ``_MATCHED`` in its matching phase, and a node that quits unmatched
+    provably has no unmatched neighbors left), so the residual graph is
+    implied by ``mate == -1``.  The residual degree is kept
+    incrementally: after each phase, one ``bincount`` over the newly
+    matched vertices' slots subtracts them from their neighbors' counts,
+    so the round body never rescans the whole graph.
 
     Randomness comes from ``ctx.lanes`` — the bulk bit-exact replica
-    of the per-node Generator streams — with the draw sets of each
-    resume precomputed as arrays: live nodes flip their coins in one
-    bulk call, proposers and accepting acceptors each consume one bulk
-    bounded draw (``choice(seq)`` consumes exactly ``integers(0,
-    len(seq))``), and nodes that returned draw nothing.  Only the
-    selection of the chosen neighbor from each proposer's candidate
-    list stays a per-node loop — this is the attack on the documented
-    ~1.3x RNG-replay bound (ISSUE 5; bench_s5 records the before/
-    after).
+    of the per-node Generator streams.  The round body has no
+    per-vertex loop: live nodes flip their coins in one bulk call,
+    proposers draw one bulk bounded index (``choice(seq)`` consumes
+    exactly ``integers(0, len(seq))``) and pick their targets with one
+    rank-select over the sorted CSR (:func:`choose_targets`), and
+    acceptors are grouped and drawn in bulk
+    (:func:`replay_acceptor_choices`).  Every node returns its mate or
+    -1, so the outputs are the final ``mate`` column.
     """
     g = ctx.graph
     size = ctx.n
-    outputs: list[int | None] = [None] * size
     if ctx.faults is not None:
+        outputs: list[int | None] = [None] * size
         _israeli_itai_faulty(g, ctx.faults, _SingleLaneOps(ctx), outputs)
         return outputs
+    indptr = ctx.indptr
+    snbr, _ = g._sorted_csr()
+    degrees = g.degrees()
+    residual_deg = degrees.astype(np.int64)
     mate = np.full(size, -1, dtype=np.int64)
     alive = np.ones(size, dtype=bool)
-    degrees = g.degrees()
-    snbrs = [g.sorted_neighbors(v) for v in range(size)]
     lanes = ctx.lanes
     eight = np.int64(8)  # every tag payload is one 8-bit character
     while alive.any():
@@ -413,27 +420,17 @@ def israeli_itai_array(ctx: ArrayContext) -> list[int]:
         # return; the rest flip proposer coins and send invitations.
         ctx.begin_step(int(alive.sum()))
         unmatched = mate == -1
-        residual_deg = ctx.masked_degrees(unmatched)
-        for v in np.flatnonzero(alive & ~unmatched).tolist():
-            outputs[v] = int(mate[v])
-        for v in np.flatnonzero(alive & unmatched & (residual_deg == 0)).tolist():
-            outputs[v] = -1
         alive &= unmatched & (residual_deg > 0)
         live = np.flatnonzero(alive)
         if live.size == 0:
             break  # everyone returned without yielding: no round counted
         coins = lanes.integers(0, 2, live)
         proposer_ids = live[coins == 1]
-        # Each proposer replays choice(cands): one bounded draw, then
-        # the idx-th entry of its sorted unmatched-neighbor list.
         idx = lanes.integers(0, residual_deg[proposer_ids], proposer_ids)
-        proposer = np.zeros(size, dtype=bool)
-        proposer[proposer_ids] = True
-        target = np.full(size, -1, dtype=np.int64)
-        for k in range(proposer_ids.size):
-            v = int(proposer_ids[k])
-            cand = snbrs[v][unmatched[snbrs[v]]]
-            target[v] = cand[idx[k]]
+        targets = choose_targets(
+            indptr, snbr, proposer_ids, idx,
+            lambda seg, slots, nbr: unmatched[nbr],
+        )
         ctx.account_groups(
             np.full(proposer_ids.size, eight), np.ones(proposer_ids.size, np.int64)
         )
@@ -441,12 +438,11 @@ def israeli_itai_array(ctx: ArrayContext) -> list[int]:
         # Resume B: each acceptor (non-proposer) picks one incoming
         # proposal uniformly at random and replies.
         ctx.begin_step(live.size)
-        accepted_by = np.full(size, -1, dtype=np.int64)
-        targets = target[proposer_ids]
+        proposer = np.zeros(size, dtype=bool)
+        proposer[proposer_ids] = True
         acceptors, chosen = replay_acceptor_choices(
             lanes, targets, proposer_ids, proposer
         )
-        accepted_by[acceptors] = chosen
         ctx.account_groups(
             np.full(acceptors.size, eight), np.ones(acceptors.size, np.int64)
         )
@@ -454,15 +450,18 @@ def israeli_itai_array(ctx: ArrayContext) -> list[int]:
         # Resume C: proposers learn acceptance; every freshly matched
         # node broadcasts _MATCHED to its *full* neighborhood.
         ctx.begin_step(live.size)
-        successful = proposer_ids[accepted_by[targets] == proposer_ids]
-        mate[successful] = target[successful]
-        mate[acceptors] = accepted_by[acceptors]
+        mate[acceptors] = chosen  # targets were unmatched: only acceptors are set
+        won = mate[targets] == proposer_ids
+        successful = proposer_ids[won]
+        mate[successful] = targets[won]
         matched_now = np.concatenate((successful, acceptors))
         ctx.account_groups(
             np.full(matched_now.size, eight), degrees[matched_now]
         )
         ctx.end_step(True)
-    return outputs
+        _, slots, _ = csr_slots(indptr, matched_now)
+        residual_deg -= np.bincount(snbr[slots], minlength=size)
+    return mate.tolist()
 
 
 #: fault-seam marker: israeli_itai_array may run under an active plan.
@@ -472,32 +471,34 @@ israeli_itai_array.supports_faults = True
 def israeli_itai_array_batched(ctx: BatchedArrayContext) -> list[list[int]]:
     """Seed-axis batched twin of :func:`israeli_itai_array`.
 
-    The same three-resume phase over ``(num_seeds, n)`` SoA state, with
-    all coin flips of a resume drawn as one bulk ``ctx.lanes`` call and
-    the two ``choice`` replays (proposal targets, accepted proposals)
-    drawn as one bulk bounded draw each — ``choice(seq)`` consumes
-    exactly ``integers(0, len(seq))``, so only the *selection* of the
-    chosen neighbor from each lane's candidate list stays a per-lane
-    loop.  Seeds terminate independently (masked rows), and every
-    seed's ``RunResult`` is byte-identical to its single-seed run.
+    The same loop-free three-resume phase over ``(num_seeds, n)`` SoA
+    state: all coin flips of a resume are one bulk ``ctx.lanes`` call,
+    the proposal targets of every lane are one rank-select
+    (:func:`choose_targets`), the accepted proposals one bulk bounded
+    draw (:func:`replay_acceptor_choices` on flat lane ids), and the
+    residual degrees are updated by one ``bincount`` per phase.  Seeds
+    terminate independently (masked rows), and every seed's
+    ``RunResult`` is byte-identical to its single-seed run.
     """
     g = ctx.graph
     num_seeds, size = ctx.num_seeds, ctx.n
-    outputs: list[list[int | None]] = [[None] * size for _ in range(num_seeds)]
     if ctx.faults is not None:
         # Per-lane fault schedules share no cross-seed phase structure;
         # run the single-lane fault core once per lane (see
         # _BatchedLaneOps) — each lane stays byte-identical to its
         # single-seed run.
+        outputs: list[list[int | None]] = [[None] * size for _ in range(num_seeds)]
         for s, fstate in enumerate(ctx.faults):
             _israeli_itai_faulty(
                 g, fstate, _BatchedLaneOps(ctx, s), outputs[s]
             )
         return outputs
+    indptr = ctx.indptr
+    snbr, _ = g._sorted_csr()
+    degrees = g.degrees()
+    residual_deg = np.tile(degrees.astype(np.int64), (num_seeds, 1))
     mate = np.full((num_seeds, size), -1, dtype=np.int64)
     alive = np.ones((num_seeds, size), dtype=bool)
-    degrees = g.degrees()
-    snbrs = [g.sorted_neighbors(v) for v in range(size)]
     lanes = ctx.lanes
     eight = np.int64(8)
     while alive.any():
@@ -505,11 +506,6 @@ def israeli_itai_array_batched(ctx: BatchedArrayContext) -> list[list[int]]:
         # return; the rest flip proposer coins and send invitations.
         ctx.begin_step(alive.sum(axis=1))
         unmatched = mate == -1
-        residual_deg = ctx.masked_degrees(unmatched)
-        for s, v in zip(*np.nonzero(alive & ~unmatched)):
-            outputs[s][v] = int(mate[s, v])
-        for s, v in zip(*np.nonzero(alive & unmatched & (residual_deg == 0))):
-            outputs[s][v] = -1
         alive &= unmatched & (residual_deg > 0)
         in_phase = alive.any(axis=1)
         lrows, lcols = np.nonzero(alive)  # row-major: per-seed node order
@@ -518,18 +514,13 @@ def israeli_itai_array_batched(ctx: BatchedArrayContext) -> list[list[int]]:
         coins = lanes.integers(0, 2, lrows * size + lcols)
         picked = coins == 1
         prows, pcols = lrows[picked], lcols[picked]
-        # Each proposer replays choice(cands): one bounded draw, then
-        # the idx-th entry of its sorted unmatched-neighbor list.
         idx = lanes.integers(
             0, residual_deg[prows, pcols], prows * size + pcols
         )
-        proposer = np.zeros((num_seeds, size), dtype=bool)
-        proposer[prows, pcols] = True
-        tgt = np.empty(prows.size, dtype=np.int64)
-        for k in range(prows.size):
-            s, v = int(prows[k]), int(pcols[k])
-            cand = snbrs[v][unmatched[s, snbrs[v]]]
-            tgt[k] = cand[idx[k]]
+        tgt = choose_targets(
+            indptr, snbr, pcols, idx,
+            lambda seg, slots, nbr: unmatched[prows[seg], nbr],
+        )
         ctx.account_groups(
             np.full(prows.size, eight), np.ones(prows.size, np.int64), prows
         )
@@ -537,11 +528,11 @@ def israeli_itai_array_batched(ctx: BatchedArrayContext) -> list[list[int]]:
         # Resume B: each acceptor (non-proposer) picks one incoming
         # proposal uniformly at random and replies.
         ctx.begin_step(alive.sum(axis=1))
-        accepted_by = np.full((num_seeds, size), -1, dtype=np.int64)
+        proposer = np.zeros(num_seeds * size, dtype=bool)
+        proposer[prows * size + pcols] = True
         acc_lanes, chosen = replay_acceptor_choices(
-            lanes, prows * size + tgt, pcols, proposer.reshape(-1)
+            lanes, prows * size + tgt, pcols, proposer
         )
-        accepted_by.reshape(-1)[acc_lanes] = chosen
         ctx.account_groups(
             np.full(acc_lanes.size, eight),
             np.ones(acc_lanes.size, np.int64),
@@ -551,17 +542,20 @@ def israeli_itai_array_batched(ctx: BatchedArrayContext) -> list[list[int]]:
         # Resume C: proposers learn acceptance; every freshly matched
         # node broadcasts _MATCHED to its *full* neighborhood.
         ctx.begin_step(alive.sum(axis=1))
-        succeeded = accepted_by[prows, tgt] == pcols
-        mate[prows[succeeded], pcols[succeeded]] = tgt[succeeded]
-        arows, acols = np.nonzero(accepted_by != -1)
-        mate[arows, acols] = accepted_by[arows, acols]
-        m_rows = np.concatenate((prows[succeeded], arows))
-        m_cols = np.concatenate((pcols[succeeded], acols))
+        mate.reshape(-1)[acc_lanes] = chosen
+        won = mate[prows, tgt] == pcols
+        mate[prows[won], pcols[won]] = tgt[won]
+        m_rows = np.concatenate((prows[won], acc_lanes // size))
+        m_cols = np.concatenate((pcols[won], acc_lanes % size))
         ctx.account_groups(
             np.full(m_rows.size, eight), degrees[m_cols], m_rows
         )
         ctx.end_step(in_phase)
-    return outputs
+        seg, slots, _ = csr_slots(indptr, m_cols)
+        residual_deg -= np.bincount(
+            m_rows[seg] * size + snbr[slots], minlength=num_seeds * size
+        ).reshape(num_seeds, size)
+    return mate.tolist()
 
 
 #: fault-seam marker: the batched port may run under an active plan.
@@ -633,22 +627,21 @@ def israeli_itai_matching(
     return _assemble(g, res, faults), res
 
 
-def matching_from_mates(g: Graph, mates: dict[int, int]) -> Matching:
+def matching_from_mates(g: Graph, mates: dict[int, int | None]) -> Matching:
     """Assemble a :class:`Matching` from per-node mate outputs.
 
-    Validates symmetry: ``mates[u] == v`` requires ``mates[v] == u`` —
+    ``None`` and ``-1`` mean unmatched, as does a vertex absent from
+    ``mates``.  Validation is :meth:`Matching.from_mate_array`'s:
+    ``mates[u] == v`` requires ``mates[v] == u`` ("asymmetric mates" —
     a distributed matching algorithm whose two endpoints disagree is
-    broken, and we want tests to see that loudly.
+    broken, and we want tests to see that loudly) and every pair must
+    be an edge ("not an edge").
     """
-    m = Matching(g)
-    for v, mate in mates.items():
-        if mate is None or mate == -1:
-            continue
-        if mates.get(mate) != v:
-            raise ValueError(
-                f"asymmetric mates: node {v} claims {mate}, "
-                f"node {mate} claims {mates.get(mate)}"
-            )
-        if mate > v:
-            m.add(v, mate)
-    return m
+    mate = np.full(g.n, -1, dtype=np.int64)
+    if mates:
+        keys = np.fromiter(mates.keys(), np.int64, len(mates))
+        mate[keys] = np.fromiter(
+            (-1 if x is None else x for x in mates.values()), np.int64,
+            len(mates),
+        )
+    return Matching.from_mate_array(g, mate)

@@ -54,6 +54,7 @@ import numpy as np
 from repro.distributed.backends import (
     ArrayContext,
     BatchedArrayContext,
+    choose_targets,
     replay_acceptor_choices,
     run_program,
     run_program_batched,
@@ -117,55 +118,6 @@ def _weight_class_array(
     return np.maximum(j, 0)
 
 
-def _sorted_csr(
-    indptr: np.ndarray, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex neighbor order made ascending, as one flat permutation.
-
-    Returns ``(sidx, s_nbr)``: ``sidx`` permutes half-edge slots so that
-    each vertex's segment ``indptr[v]:indptr[v+1]`` lists neighbors in
-    ascending id order (the generator program's ``sorted(active)``
-    order) and ``s_nbr = indices[sidx]``.  Replaces the per-vertex
-    ``argsort`` setup loop of both array programs.
-    """
-    size = indptr.size - 1
-    vhe = np.repeat(np.arange(size, dtype=np.int64), np.diff(indptr))
-    sidx = np.argsort(vhe * size + indices.astype(np.int64))
-    return sidx, indices.astype(np.int64)[sidx]
-
-
-def _choose_targets(
-    indptr: np.ndarray,
-    s_nbr: np.ndarray,
-    sidx: np.ndarray,
-    pv: np.ndarray,
-    idx: np.ndarray,
-    eligible,
-) -> np.ndarray:
-    """Vectorized replay of each proposer's ``choice(sorted(active))``.
-
-    Proposer ``k`` at vertex ``pv[k]`` drew ``idx[k]`` ∈ [0, #active)
-    and picks the ``idx[k]``-th entry of its ascending-id active
-    neighbor list.  ``eligible(seg, pos, nbr)`` returns the active mask
-    for the flat candidate rows — ``seg`` is the proposer row, ``pos``
-    the original CSR half-edge slot, ``nbr`` the candidate id.  One
-    rank-select over ``sum(deg(pv))`` flat rows replaces the
-    per-proposer Python loop that dominated the batched weighted sweep
-    (see ARCHITECTURE.md).
-    """
-    deg = (indptr[pv + 1] - indptr[pv]).astype(np.int64)
-    seg = np.repeat(np.arange(pv.size, dtype=np.int64), deg)
-    off = np.zeros(pv.size + 1, dtype=np.int64)
-    np.cumsum(deg, out=off[1:])
-    flat = indptr[pv[seg]] + (np.arange(seg.size, dtype=np.int64) - off[seg])
-    nbr = s_nbr[flat]
-    elig = eligible(seg, sidx[flat], nbr)
-    csum = np.cumsum(elig)
-    base = np.concatenate(([0], csum[off[1:] - 1][:-1]))
-    hit = elig & ((csum - elig - base[seg]) == idx[seg])
-    return nbr[hit]
-
-
 def lps_mwm_array(
     ctx: ArrayContext,
     n: int,
@@ -186,23 +138,22 @@ def lps_mwm_array(
     generator's post-yield inbox scan).  Coin flips and the two
     ``choice`` replays are bulk ``ctx.lanes`` draws and the
     chosen-neighbor selection is one flat rank-select
-    (:func:`_choose_targets`).  A class with no drawer left stays
-    drawerless (mate only sets, dead only grows), so its remaining
-    phases fast-forward through
+    (:func:`~repro.distributed.backends.choose_targets`).  A class with
+    no drawer left stays drawerless (mate only sets, dead only grows),
+    so its remaining phases fast-forward through
     :meth:`~repro.distributed.backends.ArrayContext.idle_steps` with
     identical accounting — most of the ``num_classes ×
     phases_per_class`` schedule is that idle tail.
     """
     g = ctx.graph
     size = ctx.n
-    indptr, indices = ctx.indptr, ctx.indices
-    _, _, eids = g.adjacency_arrays()
-    he_cls = _weight_class_array(g.weights_array(), wmax)[eids]
+    indptr = ctx.indptr
+    # Half-edges in sorted-CSR order: ascending neighbors per vertex,
+    # the order the generator program's sorted(active) lists use.
+    s_nbr, s_eid = g._sorted_csr()
+    he_cls = _weight_class_array(g.weights_array(), wmax)[s_eid]
     vhe = np.repeat(np.arange(size, dtype=np.int64), np.diff(indptr))
     degrees = g.degrees()
-    # Ascending-neighbor order per vertex — the order the generator
-    # program's sorted(active) lists use.
-    sidx, s_nbr = _sorted_csr(indptr, indices)
     # Half-edges of each class, precomputed (classes partition them).
     cls_he = [np.flatnonzero(he_cls == c) for c in range(num_classes)]
     mate = np.full(size, -1, dtype=np.int64)
@@ -213,7 +164,7 @@ def lps_mwm_array(
         for _phase in range(phases_per_class):
             # --- round 1: proposals ----------------------------------
             he = cls_he[cls]
-            live_he = he[~dead[indices[he]]]
+            live_he = he[~dead[s_nbr[he]]]
             cnt = np.bincount(vhe[live_he], minlength=size)
             drawers = np.flatnonzero((mate == -1) & (cnt > 0))
             if drawers.size == 0:
@@ -227,9 +178,9 @@ def lps_mwm_array(
             coins = lanes.integers(0, 2, drawers)
             prop = drawers[coins == 1]
             idx = lanes.integers(0, cnt[prop], prop)
-            tgt = _choose_targets(
-                indptr, s_nbr, sidx, prop, idx,
-                lambda seg, pos, nbr: (he_cls[pos] == cls) & ~dead[nbr],
+            tgt = choose_targets(
+                indptr, s_nbr, prop, idx,
+                lambda seg, slots, nbr: (he_cls[slots] == cls) & ~dead[nbr],
             )
             ctx.account_groups(
                 np.full(prop.size, eight), np.ones(prop.size, np.int64)
@@ -262,7 +213,7 @@ def lps_mwm_array(
             ctx.end_step(True)
             dead[matched_now] = True  # the broadcast lands next resume
     ctx.begin_step(size)  # final resume: every program returns
-    return [int(x) for x in mate]
+    return mate.tolist()
 
 
 def lps_mwm_array_batched(
@@ -287,9 +238,10 @@ def lps_mwm_array_batched(
     topology:
 
     * ``he_cls`` — per-lane half-edge classes, shape ``(num_seeds,
-      half_edges)``, CSR-aligned; entries ``>= num_classes`` mark
-      half-edges the lane cannot use (too light, or absent from the
-      lane's subgraph).  Defaults to classifying the shared graph's
+      half_edges)``, aligned with the sorted CSR
+      (:meth:`~repro.graphs.graph.Graph._sorted_csr`); entries ``>=
+      num_classes`` mark half-edges the lane cannot use (too light, or
+      absent from the lane's subgraph).  Defaults to classifying the shared graph's
       weights against ``wmax`` (which may be per-lane).
     * ``lane_degrees`` — per-lane broadcast degrees, shape
       ``(num_seeds, n)``: the degree of each vertex *in the lane's
@@ -299,25 +251,24 @@ def lps_mwm_array_batched(
     """
     g = ctx.graph
     num_seeds, size = ctx.num_seeds, ctx.n
-    indptr, indices = ctx.indptr, ctx.indices
-    _, _, eids = g.adjacency_arrays()
+    indptr = ctx.indptr
+    # Sorted-CSR half-edges (ascending neighbors per vertex); a
+    # proposer's candidate classes come from its lane's he_cls row.
+    s_nbr, s_eid = g._sorted_csr()
     if he_cls is None:
         wmax_arr = np.asarray(wmax, dtype=np.float64)
         if wmax_arr.ndim:  # per-lane wmax against the shared weights
             he_cls = _weight_class_array(
                 g.weights_array(), wmax_arr.reshape(-1, 1)
-            )[:, eids]
+            )[:, s_eid]
         else:
             he_cls = np.broadcast_to(
-                _weight_class_array(g.weights_array(), float(wmax_arr))[eids],
-                (num_seeds, indices.size),
+                _weight_class_array(g.weights_array(), float(wmax_arr))[s_eid],
+                (num_seeds, s_nbr.size),
             )
     if lane_degrees is None:
         lane_degrees = np.broadcast_to(g.degrees(), (num_seeds, size))
     vhe = np.repeat(np.arange(size, dtype=np.int64), np.diff(indptr))
-    # Ascending-neighbor order per vertex; a proposer's candidate
-    # classes come from its lane's he_cls row via the CSR positions.
-    sidx, s_nbr = _sorted_csr(indptr, indices)
     # (lane, half-edge) pairs of each class, precomputed once.
     cls_part = [np.nonzero(he_cls == c) for c in range(num_classes)]
     mate = np.full((num_seeds, size), -1, dtype=np.int64)
@@ -330,7 +281,7 @@ def lps_mwm_array_batched(
         for _phase in range(phases_per_class):
             # --- round 1: proposals ----------------------------------
             rows_c, he_c = cls_part[cls]
-            alive_he = ~dead[rows_c, indices[he_c]]
+            alive_he = ~dead[rows_c, s_nbr[he_c]]
             cnt = np.bincount(
                 rows_c[alive_he] * size + vhe[he_c[alive_he]],
                 minlength=num_seeds * size,
@@ -348,10 +299,10 @@ def lps_mwm_array_batched(
             picked = coins == 1
             pr, pv = pr_all[picked], pv_all[picked]
             idx = lanes.integers(0, cnt[pr, pv], pr * size + pv)
-            tgt = _choose_targets(
-                indptr, s_nbr, sidx, pv, idx,
-                lambda seg, pos, nbr: (
-                    (he_cls[pr[seg], pos] == cls) & ~dead[pr[seg], nbr]
+            tgt = choose_targets(
+                indptr, s_nbr, pv, idx,
+                lambda seg, slots, nbr: (
+                    (he_cls[pr[seg], slots] == cls) & ~dead[pr[seg], nbr]
                 ),
             )
             ctx.account_groups(
@@ -388,7 +339,7 @@ def lps_mwm_array_batched(
             ctx.end_step(all_yield)
             dead[m_rows, m_cols] = True  # broadcast lands next resume
     ctx.begin_step(all_live)  # final resume: every program returns
-    return [[int(x) for x in row] for row in mate]
+    return mate.tolist()
 
 
 def lps_mwm_program(

@@ -326,7 +326,8 @@ def weighted_mwm_batched(
     totals = [RunResult() for _ in seeds]
     its = np.zeros(num_seeds, dtype=np.int64)
     running = np.ones(num_seeds, dtype=bool)
-    indptr, _, eids = g.adjacency_arrays()
+    indptr = g.adjacency_arrays()[0]
+    _, s_eid = g._sorted_csr()  # the box's half-edge order
     num_classes = phases_per_class = 0
     if g.m:  # loop-invariant box parameters (edgeless graphs never box)
         box_params = _lps_params(g, None, None)
@@ -363,8 +364,8 @@ def weighted_mwm_batched(
         # Per-lane masked box: classes from each lane's derived
         # weights, sentinel num_classes on absent (non-positive) edges;
         # broadcast degrees count the lane's present edges.
-        wm_he = wm_box[:, eids]
-        present = pos_box[:, eids]
+        wm_he = wm_box[:, s_eid]
+        present = pos_box[:, s_eid]
         safe = np.where(present, wm_he, wmax[:, None])
         he_cls = np.where(
             present, _weight_class_array(safe, wmax[:, None]), num_classes

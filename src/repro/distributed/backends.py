@@ -163,6 +163,54 @@ def segment_bounds(sorted_keys: np.ndarray) -> np.ndarray:
     return np.append(heads, sorted_keys.size)
 
 
+def csr_slots(
+    indptr: np.ndarray, verts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR slots of ``verts``' segments, concatenated in order.
+
+    Returns ``(seg, slots, heads)``: ``slots`` lists
+    ``indptr[v]:indptr[v+1]`` for each ``v`` of ``verts`` in turn,
+    ``seg[i]`` is the position in ``verts`` of the owner of
+    ``slots[i]``, and ``verts[k]``'s slots start at row ``heads[k]``.
+    """
+    start = indptr[verts].astype(np.int64)
+    deg = indptr[verts + 1] - start
+    heads = np.cumsum(deg) - deg
+    seg = np.repeat(np.arange(verts.size, dtype=np.int64), deg)
+    slots = np.arange(seg.size, dtype=np.int64) + (start - heads)[seg]
+    return seg, slots, heads
+
+
+def choose_targets(
+    indptr: np.ndarray,
+    snbr: np.ndarray,
+    pv: np.ndarray,
+    idx: np.ndarray,
+    eligible: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Replay every proposer's ``choice(sorted(candidates))`` in bulk.
+
+    The target-selection idiom shared by the Israeli–Itai and
+    weight-class LPS array programs (single-seed and batched).
+    ``snbr`` is the sorted CSR (:meth:`Graph._sorted_csr`), whose
+    segments list each vertex's neighbors ascending.  Proposer ``k`` at
+    vertex ``pv[k]`` drew ``idx[k]`` from ``[0, #candidates)`` and
+    picks the ``idx[k]``-th candidate of its segment; ``eligible(seg,
+    slots, nbr)`` masks the candidates among the :func:`csr_slots` rows
+    (``nbr`` is the neighbor at each slot).  One rank-select: a cumsum
+    ranks the candidates, and each proposer's pick is the first row
+    whose rank reaches its segment's base plus ``idx[k] + 1``.  Every
+    proposer must have a candidate.  Returns ``int64`` targets.
+    """
+    seg, slots, heads = csr_slots(indptr, pv)
+    nbr = snbr[slots]
+    elig = eligible(seg, slots, nbr)
+    rank = np.cumsum(elig)
+    base = rank[heads] - elig[heads]
+    pick = rank.searchsorted(base + idx + 1)
+    return nbr[pick].astype(np.int64)
+
+
 def replay_acceptor_choices(
     lanes: LaneRngs,
     keys: np.ndarray,
@@ -175,7 +223,7 @@ def replay_acceptor_choices(
     weight-class LPS array programs (single-seed and batched): group
     the proposals by target, drop targets whose nodes ignore proposals
     this round, and draw each remaining target's uniform pick — one
-    bulk bounded lane draw, selection per group.
+    bulk bounded lane draw, then one gather.
 
     ``keys[i]`` is proposal ``i``'s target as a flat lane id
     (``seed_index * n + vertex``; plain vertex ids when single-seed),
@@ -191,27 +239,14 @@ def replay_acceptor_choices(
     """
     order = np.argsort(keys, kind="stable")  # per-target, src ascending
     sorted_keys = keys[order]
-    sorted_srcs = srcs[order]
     bounds = segment_bounds(sorted_keys)
-    acc: list[int] = []
-    acc_off: list[int] = []
-    acc_cnt: list[int] = []
-    for k in range(bounds.size - 1):
-        b0 = int(bounds[k])
-        key = int(sorted_keys[b0])
-        if skip[key]:
-            continue
-        acc.append(key)
-        acc_off.append(b0)
-        acc_cnt.append(int(bounds[k + 1]) - b0)
-    acceptors = np.asarray(acc, dtype=np.int64)
-    chosen = np.empty(acceptors.size, dtype=np.int64)
-    if acceptors.size:
-        aidx = lanes.integers(
-            0, np.asarray(acc_cnt, dtype=np.int64), acceptors
-        )
-        for k in range(acceptors.size):
-            chosen[k] = int(sorted_srcs[acc_off[k] + aidx[k]])
+    heads = bounds[:-1]
+    keep = ~skip[sorted_keys[heads]]
+    acceptors = sorted_keys[heads[keep]].astype(np.int64)
+    if acceptors.size == 0:
+        return acceptors, np.empty(0, dtype=np.int64)
+    aidx = lanes.integers(0, np.diff(bounds)[keep], acceptors)
+    chosen = srcs[order[heads[keep] + aidx]].astype(np.int64)
     return acceptors, chosen
 
 
@@ -522,8 +557,10 @@ class ArrayBackend:
         if not self._ran:
             self._ctx.max_rounds = max_rounds
             outputs = self._program(self._ctx, **self._params)
-            for v in range(self.graph.n):
-                self.result.outputs[v] = None if outputs is None else outputs[v]
+            self.result.outputs = (
+                dict.fromkeys(range(self.graph.n)) if outputs is None
+                else dict(enumerate(outputs))
+            )
             self._ran = True
         return self.result
 
@@ -751,8 +788,10 @@ class BatchedArrayContext:
                 nodes_crashed=int(self._fault_counts[2, s]),
                 links_failed=int(self._fault_counts[3, s]),
             )
-            for v in range(self.n):
-                res.outputs[v] = None if outputs is None else outputs[s][v]
+            res.outputs = (
+                dict.fromkeys(range(self.n)) if outputs is None
+                else dict(enumerate(outputs[s]))
+            )
             results.append(res)
         return results
 

@@ -141,7 +141,8 @@ class FaultPlan:
 
         Keys: ``loss``, ``delay``, ``crash``/``crashes``,
         ``link``/``links``/``link_failures``, ``crash_window``,
-        ``link_window``, ``seed``.  An empty spec is the no-op plan.
+        ``link_window``, ``seed``; each field may be set once (aliases
+        included).  An empty spec is the no-op plan.
         """
         kwargs: dict[str, float | int] = {}
         for item in spec.split(","):
@@ -161,6 +162,10 @@ class FaultPlan:
                     f"unknown fault spec key {key!r}; "
                     f"known: {' '.join(sorted(set(_PARSE_KEYS)))}"
                 ) from None
+            if field in kwargs:
+                raise ValueError(
+                    f"duplicate fault spec key {key!r} (sets {field} twice)"
+                )
             try:
                 kwargs[field] = cast(value.strip())
             except ValueError:

@@ -185,8 +185,9 @@ class Graph:
         Iterable of ``(u, v)`` pairs, or an ``(m, 2)`` integer array.
         Self-loops and duplicate edges are rejected.
     weights:
-        Optional sequence (or array) of positive edge weights, aligned
-        with ``edges``.  ``None`` means the graph is unweighted (all
+        Optional sequence (or array) of finite, positive edge weights,
+        aligned with ``edges``; any other weight raises ``ValueError``
+        naming its edge.  ``None`` means the graph is unweighted (all
         queries through :meth:`weight` return 1.0).
     index_dtype:
         Storage dtype for the CSR index arrays (``int32`` / ``int64``).
@@ -274,11 +275,13 @@ class Graph:
                 )
             if len(warr) != m:
                 raise ValueError(f"{warr.size} weights for {m} edges")
-            nonpos = warr <= 0.0
-            if nonpos.any():
-                eid = int(np.argmax(nonpos))
+            # NaN fails every comparison, so test for the good case.
+            bad = ~(np.isfinite(warr) & (warr > 0.0))
+            if bad.any():
+                eid = int(np.argmax(bad))
+                kind = "non-positive" if np.isfinite(warr[eid]) else "non-finite"
                 raise ValueError(
-                    f"edge ({self._lo[eid]},{self._hi[eid]}) has non-positive "
+                    f"edge ({self._lo[eid]},{self._hi[eid]}) has {kind} "
                     f"weight {warr[eid]}; the paper assumes w : E -> R+"
                 )
             warr = warr.copy()

@@ -38,21 +38,26 @@ def read_edgelist(path: str | Path) -> Graph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] == "n":
-            if n is not None:
-                raise ValueError(f"{path}:{lineno}: duplicate 'n' line")
-            n = int(parts[1])
-        elif parts[0] == "e":
-            if len(parts) == 3:
-                saw_unweighted = True
-            elif len(parts) == 4:
-                weights.append(float(parts[3]))
+        tag, *fields = line.split()
+        where = f"{path}:{lineno}"
+        if tag not in ("n", "e"):
+            raise ValueError(f"{where}: unknown record {tag!r}")
+        if tag == "n" and n is not None:
+            raise ValueError(f"{where}: duplicate 'n' line")
+        try:
+            if tag == "n":
+                (count,) = fields
+                n = int(count)
             else:
-                raise ValueError(f"{path}:{lineno}: malformed edge line {raw!r}")
-            edges.append((int(parts[1]), int(parts[2])))
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown record {parts[0]!r}")
+                u, v, *w = fields
+                if len(w) > 1:
+                    raise ValueError
+                edges.append((int(u), int(v)))
+                weights.extend(float(x) for x in w)
+                saw_unweighted |= not w
+        except ValueError:
+            kind = "'n'" if tag == "n" else "edge"
+            raise ValueError(f"{where}: malformed {kind} line {raw!r}") from None
     if n is None:
         raise ValueError(f"{path}: missing 'n' line")
     if weights and saw_unweighted:

@@ -106,6 +106,14 @@ class TestPlanParsing:
         with pytest.raises(ValueError):
             FaultPlan.parse("lossage=0.5")
 
+    @pytest.mark.parametrize("spec,key", [
+        ("loss=0.1,loss=0.2", "'loss'"),
+        ("crash=1,crashes=2", "'crashes'"),
+    ])
+    def test_duplicate_key_rejected(self, spec, key):
+        with pytest.raises(ValueError, match=f"duplicate fault spec key {key}"):
+            FaultPlan.parse(spec)
+
     @pytest.mark.parametrize("bad", ["loss=1.5", "loss=-0.1", "crash=-1",
                                      "delay=-2", "link_window=-1"])
     def test_out_of_range_rejected(self, bad):

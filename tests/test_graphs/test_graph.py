@@ -43,6 +43,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-positive"):
             Graph(3, [(0, 1)], [0.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("wdt", [np.float64, np.float32])
+    def test_non_finite_weight_rejected(self, bad, wdt):
+        with pytest.raises(ValueError, match=r"edge \(1,2\) has non-finite"):
+            Graph(3, [(0, 1), (1, 2)], [1.0, bad], weight_dtype=wdt)
+
+    def test_nan_weight_rejected_before_matching(self):
+        # NaN fails ``w <= 0``; unchecked, weighted_mwm matched only
+        # (2,3) on this path and lps_mwm crashed classifying the edge.
+        with pytest.raises(ValueError, match=r"edge \(0,1\) has non-finite weight nan"):
+            Graph(4, [(0, 1), (1, 2), (2, 3)], [float("nan"), 1.0, 1.0])
+
+    def test_non_finite_weight_rejected_on_reweight(self):
+        g = Graph(3, [(0, 1), (1, 2)], [1.0, 2.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            g.with_weights([float("nan"), 1.0])
+
     def test_edges_normalized_to_sorted_pairs(self):
         g = Graph(3, [(2, 0), (1, 2)])
         assert g.edges() == [(0, 2), (1, 2)]

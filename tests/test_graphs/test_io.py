@@ -75,3 +75,21 @@ class TestParsing:
         p.write_text("n 2\ne 0\n")
         with pytest.raises(ValueError, match="malformed"):
             read_edgelist(p)
+
+    @pytest.mark.parametrize("text,lineno", [
+        ("n\ne 0 1\n", 1),          # 'n' with no value
+        ("n 3 4\n", 1),              # 'n' with two values
+        ("n x\n", 1),                # 'n' not an integer
+    ])
+    def test_malformed_n_line_names_file_and_line(self, tmp_path, text, lineno):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=rf"bad\.txt:{lineno}: malformed 'n' line"):
+            read_edgelist(p)
+
+    @pytest.mark.parametrize("line", ["e 0", "e 0 x", "e 0 1 2.0 3.0", "e 0 1 heavy"])
+    def test_malformed_edge_line_names_file_and_line(self, tmp_path, line):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"# header\nn 3\n{line}\n")
+        with pytest.raises(ValueError, match=r"bad\.txt:3: malformed edge line"):
+            read_edgelist(p)
